@@ -124,6 +124,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Install the drain handler before the address is announced: a SIGTERM
+	// that follows the announce must drain, not kill the process outright.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	srv := obs.NewServer(s.Handler())
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -132,9 +136,6 @@ func main() {
 	}() //coordvet:detached process-lifetime server; exits only via fatal or process end
 	// The address line is machine-read by the chaos harness; keep its shape.
 	fmt.Printf("coordd: listening on http://%s\n", ln.Addr())
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Fprintln(os.Stderr, "coordd: draining")
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

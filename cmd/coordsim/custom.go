@@ -373,14 +373,23 @@ func runCustom(cs customSpec) {
 	if len(res.Tripped) > 0 {
 		fmt.Printf("  BREAKERS TRIPPED:         %v\n", res.Tripped)
 	}
-	if n := res.KernelTicksExecuted + res.KernelTicksSkipped; n > 0 {
-		fmt.Printf("  event kernel:             %d/%d ticks executed densely (%d skipped)\n",
-			res.KernelTicksExecuted, n, res.KernelTicksSkipped)
-	}
+	fmt.Printf("  kernel:                   %s\n", kernelLine(res))
 	printStormSummary(spec, res)
 	printGridSummary(spec, res)
 	printFaultSummary(spec, res)
 	if cs.analytics {
 		printAnalytics(res)
 	}
+}
+
+// kernelLine names the tick-loop kernel a run used: the event kernel with
+// its dense-tick share, or the dense loop with the reason it ran.
+func kernelLine(res *scenario.CoordResult) string {
+	if n := res.KernelTicksExecuted + res.KernelTicksSkipped; n > 0 {
+		return fmt.Sprintf("event (%d/%d ticks executed densely)", res.KernelTicksExecuted, n)
+	}
+	if res.KernelFallback != "" {
+		return fmt.Sprintf("dense (%s)", res.KernelFallback)
+	}
+	return "dense (requested)"
 }

@@ -39,9 +39,11 @@ func chaosKills(seed int64) []time.Duration {
 }
 
 // runUninterrupted is the control arm: no checkpointing at all, proving on
-// the other side that checkpoint writes never perturb the simulation.
+// the other side that checkpoint writes never perturb the simulation. It
+// always runs the dense oracle, whatever kernel the spec selects.
 func runUninterrupted(t *testing.T, spec scenario.CoordSpec) (summary, digest string) {
 	t.Helper()
+	spec.Kernel = scenario.KernelDense
 	spec.Obs = obs.NewSink(0)
 	res, err := scenario.RunCoordinated(spec)
 	if err != nil {
@@ -109,6 +111,7 @@ func checkChaosSeed(t *testing.T, seed int64, distributed bool) {
 	spec := stormSpec(seed)
 	armStorm(&spec)
 	spec.Distributed = distributed
+	spec.Kernel = scenario.KernelDense // the event kernel's arm is TestKernelCrashResume
 
 	wantSummary, wantDigest := runUninterrupted(t, spec)
 	gotSummary, gotDigest := runWithKills(t, spec, chaosKills(seed))
@@ -151,11 +154,22 @@ func TestCrashResumeDistributed(t *testing.T) {
 // TestCrashResumeGracefulInterrupt covers the SIGTERM path: Interrupt makes
 // the run write a final checkpoint at the exact stop tick and return a
 // partial result with Interrupted set; the resume must still be bit-exact.
+// Both kernels write and resume, each against the dense reference.
 func TestCrashResumeGracefulInterrupt(t *testing.T) {
 	spec := stormSpec(1)
 	armStorm(&spec)
 	wantSummary, wantDigest := runUninterrupted(t, spec)
+	for _, kernel := range []string{scenario.KernelDense, scenario.KernelEvent} {
+		t.Run(kernel, func(t *testing.T) {
+			spec := spec
+			spec.Kernel = kernel
+			checkGracefulInterrupt(t, spec, wantSummary, wantDigest)
+		})
+	}
+}
 
+func checkGracefulInterrupt(t *testing.T, spec scenario.CoordSpec, wantSummary, wantDigest string) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	first := spec
 	first.Obs = obs.NewSink(0)

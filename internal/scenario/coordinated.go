@@ -50,12 +50,14 @@ type CoordSpec struct {
 	AvgDOD units.Fraction
 	// Step is the simulation tick (default 3 s, the trace granularity).
 	Step time.Duration
-	// Kernel selects the tick-loop implementation: KernelDense (the default,
-	// also "") runs every tick; KernelEvent advances analytically between
-	// state-change events, bit-identical to dense. Specs the event kernel
-	// cannot prove bounds for silently run dense (see kernelEligible). The
-	// choice never affects results, so it is excluded from the checkpoint
-	// fingerprint — either kernel resumes the other's checkpoints.
+	// Kernel selects the tick-loop implementation: KernelEvent (the default,
+	// also "") advances analytically between state-change events,
+	// bit-identical to dense; KernelDense runs every tick and is the oracle
+	// the event kernel is checked against. A spec the event kernel cannot
+	// prove bounds for runs dense, and CoordResult.KernelFallback says why
+	// (see kernelFallback). The choice never affects results, so it is
+	// excluded from the checkpoint fingerprint — either kernel resumes the
+	// other's checkpoints.
 	Kernel string
 	// PreRoll is how long before the transition the run starts (default 2 min).
 	PreRoll time.Duration
@@ -194,7 +196,9 @@ func (s *CoordSpec) fillDefaults() error {
 		return fmt.Errorf("scenario: non-positive step")
 	}
 	switch s.Kernel {
-	case "", KernelDense, KernelEvent:
+	case "":
+		s.Kernel = KernelEvent
+	case KernelDense, KernelEvent:
 	default:
 		return fmt.Errorf("scenario: unknown kernel %q (want %q or %q)", s.Kernel, KernelDense, KernelEvent)
 	}
@@ -310,6 +314,11 @@ type CoordResult struct {
 	// many were skipped under the analytic bounds. Both are zero on the
 	// dense kernel (and on event-kernel specs that fell back to dense).
 	KernelTicksExecuted, KernelTicksSkipped uint64
+	// KernelFallback names the first spec feature that made an event-kernel
+	// run fall back to the dense loop ("faults", "step hook", ...). It is
+	// empty when the event kernel ran or KernelDense was selected. It stays
+	// out of Summary: the choice of kernel never changes the result.
+	KernelFallback string
 }
 
 // ErrAborted is returned by RunCoordinated when Spec.HardStop fires: the run
@@ -657,11 +666,9 @@ func newCoordRun(spec CoordSpec) (*coordRun, error) {
 	cr.lastSample = time.Duration(-1 << 62)
 	cr.cursor = start
 	cr.nextCkpt = start + spec.CheckpointEvery
-	if spec.Kernel == KernelEvent && kernelEligible(&spec) {
-		// The kernel's demand envelope needs the synthetic generator's
-		// analytic rate bound; any other trace source runs dense.
-		if g, ok := gen.(*trace.Generator); ok {
-			cr.kern = newEventKernel(cr, g)
+	if spec.Kernel == KernelEvent {
+		if res.KernelFallback = kernelFallback(&spec, gen); res.KernelFallback == "" {
+			cr.kern = newEventKernel(cr, gen.(*trace.Generator))
 		}
 	}
 	return cr, nil

@@ -46,33 +46,51 @@ import (
 
 // Kernel selectors for CoordSpec.Kernel.
 const (
-	// KernelDense is the reference per-tick loop (the default).
+	// KernelDense is the reference per-tick loop: the oracle the event
+	// kernel is checked against, selected explicitly.
 	KernelDense = "dense"
-	// KernelEvent is the event-driven kernel. Specs the kernel cannot prove
-	// bounds for (fault injection, the grid plane, the distributed plane,
-	// command latency, watchdogs, stale telemetry, per-tick hooks) silently
-	// fall back to the dense loop, so the switch is always safe to set.
+	// KernelEvent is the event-driven kernel and the default (also ""). A
+	// spec the kernel cannot prove bounds for runs the dense loop instead,
+	// and the run reports why in CoordResult.KernelFallback, so the default
+	// is always safe.
 	KernelEvent = "event"
 )
 
-// kernelEligible reports whether the event kernel's quiescence and wake
-// bounds are sound for this spec. Each excluded feature injects per-tick
-// state changes the bounds cannot see: faults flip controllers and telemetry
-// at arbitrary ticks; the grid plane varies the effective limit and defers
-// admission on price signals; command latency and the distributed plane
-// queue work in the run's own engine; watchdogs and heartbeats age per tick;
+// kernelFallback returns the first reason the event kernel's quiescence and
+// wake bounds are unsound for this spec and demand source, or "" when the
+// kernel may run. Each excluded feature injects per-tick state changes the
+// bounds cannot see: command latency and the distributed plane queue work
+// in the run's own engine; faults flip controllers and telemetry at
+// arbitrary ticks; the grid plane varies the effective limit and defers
+// admission on price signals; watchdogs and heartbeats age per tick;
 // StaleAfter makes telemetry freshness a function of wall-clock distance;
 // StepHook observes every tick by contract; un-relaxed lower levels would
-// need a headroom bound per breaker, not just at the MSB.
-func kernelEligible(spec *CoordSpec) bool {
-	return spec.CommandLatency == 0 &&
-		!spec.Distributed &&
-		!spec.Faults.Enabled() &&
-		spec.Grid == nil &&
-		spec.WatchdogTTL == 0 &&
-		spec.StaleAfter <= 0 &&
-		spec.StepHook == nil &&
-		*spec.RelaxLowerLevels
+// need a headroom bound per breaker, not just at the MSB; and the demand
+// envelope needs the synthetic generator's analytic rate bound, which an
+// external trace does not have.
+func kernelFallback(spec *CoordSpec, gen trace.Source) string {
+	_, synthetic := gen.(*trace.Generator)
+	switch {
+	case spec.CommandLatency != 0:
+		return "command latency"
+	case spec.Distributed:
+		return "distributed plane"
+	case spec.Faults.Enabled():
+		return "faults"
+	case spec.Grid != nil:
+		return "grid plane"
+	case spec.WatchdogTTL != 0:
+		return "watchdog"
+	case spec.StaleAfter > 0:
+		return "stale telemetry"
+	case spec.StepHook != nil:
+		return "step hook"
+	case !*spec.RelaxLowerLevels:
+		return "un-relaxed lower levels"
+	case !synthetic:
+		return "non-generator trace"
+	}
+	return ""
 }
 
 // Bound paddings, in watts. boundSlackW pads the cached recharge bounds
@@ -164,9 +182,9 @@ type eventKernel struct {
 }
 
 // newEventKernel wires the kernel to a freshly built run and schedules the
-// static wakes. Call only when kernelEligible holds (the hierarchy exists
-// and coordRun.engine is nil) and the demand source is the synthetic
-// generator (the envelope needs its analytic rate bound).
+// static wakes. Call only when kernelFallback is empty (the hierarchy
+// exists, coordRun.engine is nil, and the demand source is the synthetic
+// generator).
 func newEventKernel(cr *coordRun, gen *trace.Generator) *eventKernel {
 	k := &eventKernel{
 		cr:          cr,

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -351,4 +352,29 @@ func TestCoorddKillResumeCorruptedLatest(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumeAndVerify(t, dir)
+}
+
+// TestCoorddSigtermRightAfterAnnounce: the announce line is the daemon's
+// readiness contract, so a SIGTERM sent the moment it appears must take the
+// graceful path — drain, final resident checkpoint, exit 0 — instead of the
+// default signal action killing the process. A few launches widen the
+// window for an ordering regression between the announce and the signal
+// handler.
+func TestCoorddSigtermRightAfterAnnounce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos skipped in -short")
+	}
+	for i := 0; i < 3; i++ {
+		dir := t.TempDir()
+		p := startCoordd(t, "-ckpt-dir", dir, "-pace", "200")
+		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.cmd.Wait(); err != nil {
+			t.Fatalf("launch %d: SIGTERM right after the announce: %v, want a graceful exit 0", i, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, svc.ResidentCheckpointFile)); err != nil {
+			t.Errorf("launch %d: drain wrote no final resident checkpoint: %v", i, err)
+		}
+	}
 }
