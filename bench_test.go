@@ -579,13 +579,16 @@ func BenchmarkGridShave(b *testing.B) {
 // benchKernelPair runs the same scenario family under the dense loop and the
 // event kernel as twin sub-benchmarks. Committing both measurements to the
 // benchmark baseline locks the kernel's speedup ratio: a kernel regression
-// blows the event arm's tolerance, a dense regression blows the other.
+// blows the event arm's tolerance, a dense regression blows the other. Every
+// iteration starts from an empty trace frame memo, so the event arm measures
+// the kernel with cold frame synthesis, not frames an earlier run left behind.
 func benchKernelPair(b *testing.B, run func(b *testing.B, kernel string) *scenario.CoordResult) {
 	for _, kernel := range []string{scenario.KernelDense, scenario.KernelEvent} {
 		b.Run(kernel, func(b *testing.B) {
 			b.ReportAllocs()
 			var skipped, executed float64
 			for i := 0; i < b.N; i++ {
+				trace.ResetFrameMemo()
 				res := run(b, kernel)
 				skipped = float64(res.KernelTicksSkipped)
 				executed = float64(res.KernelTicksExecuted)

@@ -149,6 +149,7 @@ type enduranceState struct {
 	events []reliability.Event
 	res    *EnduranceResult
 	week   time.Duration
+	demand []units.Power // one-frame scratch for setDemands
 
 	// mutable
 	clock         time.Duration
@@ -158,10 +159,14 @@ type enduranceState struct {
 	nextCkpt      time.Duration
 }
 
+// setDemands reads the trace frame at the current clock into every rack.
+// The clock folds onto one trace week, so its times rarely repeat and the
+// read bypasses the generator's frame memo.
 func (st *enduranceState) setDemands() {
 	t := st.clock % st.week
+	st.demand = trace.Frames(st.gen, st.demand, t, t, st.spec.Step)
 	for i, r := range st.racks {
-		r.SetDemand(st.gen.Rack(i, t))
+		r.SetDemand(st.demand[i])
 	}
 }
 

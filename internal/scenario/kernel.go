@@ -217,16 +217,18 @@ func newEventKernel(cr *coordRun, gen *trace.Generator) *eventKernel {
 	return k
 }
 
-// frame returns the demand frame for tick now, generating it at most once —
+// frame returns the demand frame for tick now, reading it at most once —
 // dense ticks, sample synthesis, and peak probes within a tick share it. The
 // coordRun block variables carry it so cr.tick reads the exact same slice a
 // dense run would (single-frame blocks instead of 256-frame slabs: the
 // generator's per-frame terms are shared only within a frame, so per-frame
-// cost is identical and nothing is synthesized for skipped spans).
+// cost is identical and nothing is synthesized for skipped spans). The
+// generator's process-wide frame memo serves frames another run of the same
+// trace already synthesized.
 func (k *eventKernel) frame(now time.Duration) []units.Power {
 	cr := k.cr
 	if cr.blockStart != now || cr.blockEnd != now {
-		cr.demand = trace.Frames(cr.gen, cr.demand, now, now, cr.spec.Step)
+		cr.demand = k.gen.Frame(cr.demand, now)
 		cr.blockStart, cr.blockEnd = now, now
 	}
 	return cr.demand

@@ -76,3 +76,38 @@ func BenchmarkMaterializedRack(b *testing.B) {
 		_ = m.Rack(i%32, time.Duration(i%1200)*3*time.Second)
 	}
 }
+
+// BenchmarkGeneratorFrame: one memoised single-frame read of the 316-rack
+// trace, from an empty memo every iteration (synthesis plus the store).
+func BenchmarkGeneratorFrame(b *testing.B) {
+	g, err := NewGenerator(Spec{NumRacks: 316, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf []units.Power
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ResetFrameMemo()
+		buf = g.Frame(buf, time.Duration(i)*3*time.Second)
+	}
+}
+
+// BenchmarkFirstPeak contrasts the exhaustive one-day scan of the 316-rack
+// trace at one-minute resolution with the bound-pruned search (neither
+// goes through the FirstPeak memo).
+func BenchmarkFirstPeak(b *testing.B) {
+	g, err := NewGenerator(Spec{NumRacks: 316, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("exhaustive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = firstPeakScan(g, 24*time.Hour, time.Minute)
+		}
+	})
+	b.Run("pruned", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = firstPeakPruned(g, 24*time.Hour, time.Minute)
+		}
+	})
+}

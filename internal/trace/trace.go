@@ -11,12 +11,8 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"coordcharge/internal/rng"
@@ -195,6 +191,7 @@ type rackShape struct {
 // base_i·(1 + swing·diurnal(t)) + noise_i(t), clipped to [0, 12.6 kW].
 type Generator struct {
 	spec   Spec
+	id     genID   // identity for the process-wide memos
 	swing  float64 // (peak − trough)/trough
 	shapes []rackShape
 }
@@ -251,6 +248,7 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	}
 	return &Generator{
 		spec:   spec,
+		id:     genIDOf(&spec),
 		swing:  swing,
 		shapes: shapes,
 	}, nil
@@ -360,114 +358,6 @@ func FrameAggregates(frames []units.Power, numRacks int, max units.Power, dst []
 	return dst
 }
 
-// FirstPeak returns the virtual time of the maximum aggregate draw of any
-// source within [0, horizon], scanned at the given resolution (the paper
-// injects its open transitions "at the first peak in the trace" where
-// available power is most constrained). Non-positive arguments default to
-// 24 hours and one minute.
-//
-// For the synthetic Generator the scan is a pure function of the (seeded)
-// spec, and figure suites, sweeps, and benchmark harnesses rebuild the same
-// generator dozens of times per process — so Generator results are memoised.
-func FirstPeak(s Source, horizon, resolution time.Duration) time.Duration {
-	if horizon <= 0 {
-		horizon = 24 * time.Hour
-	}
-	if resolution <= 0 {
-		resolution = time.Minute
-	}
-	g, ok := s.(*Generator)
-	if !ok {
-		return firstPeakScan(s, horizon, resolution)
-	}
-	key := firstPeakKeyOf(g, horizon, resolution)
-	if v, ok := firstPeakMemo.Load(key); ok {
-		return v.(time.Duration)
-	}
-	t := firstPeakScan(s, horizon, resolution)
-	// Bound the cache: a process cycling through unboundedly many distinct
-	// trace specs (a fuzzing loop, a parameter search) must not leak; past the
-	// cap new specs simply pay the scan.
-	if n := firstPeakMemoLen.Add(1); n <= 1024 {
-		firstPeakMemo.Store(key, t)
-	} else {
-		firstPeakMemoLen.Add(-1)
-	}
-	return t
-}
-
-// firstPeakKey identifies one memoised FirstPeak scan: every scalar field of
-// the generator spec (the SwingScale slice, unhashable, is folded to a
-// bit-exact hash) plus the scan window.
-type firstPeakKey struct {
-	numRacks            int
-	duration            time.Duration
-	trough, peak        units.Power
-	diurnal, peakTime   time.Duration
-	noiseFrac, weekend  float64
-	seed                int64
-	swingFP             uint64
-	horizon, resolution time.Duration
-}
-
-var (
-	firstPeakMemo    sync.Map // firstPeakKey → time.Duration
-	firstPeakMemoLen atomic.Int64
-)
-
-func firstPeakKeyOf(g *Generator, horizon, resolution time.Duration) firstPeakKey {
-	key := firstPeakKey{
-		numRacks:   g.spec.NumRacks,
-		duration:   g.spec.Duration,
-		trough:     g.spec.TroughPower,
-		peak:       g.spec.PeakPower,
-		diurnal:    g.spec.DiurnalPeriod,
-		peakTime:   g.spec.PeakTime,
-		noiseFrac:  g.spec.NoiseFrac,
-		weekend:    g.spec.WeekendLevel,
-		seed:       g.spec.Seed,
-		horizon:    horizon,
-		resolution: resolution,
-	}
-	if len(g.spec.SwingScale) != 0 {
-		h := fnv.New64a()
-		var b [8]byte
-		for _, w := range g.spec.SwingScale {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(w))
-			h.Write(b[:])
-		}
-		key.swingFP = h.Sum64()
-	}
-	return key
-}
-
-func firstPeakScan(s Source, horizon, resolution time.Duration) time.Duration {
-	// Scan in frame blocks: same samples, same summation order, same
-	// first-maximum tie-breaking as the per-call Aggregate loop — but the
-	// per-tick trace terms are computed once per frame.
-	n := s.NumRacks()
-	best, bestT := units.Power(-1), time.Duration(0)
-	const block = 256
-	var buf []units.Power
-	for t0 := time.Duration(0); t0 <= horizon; t0 += block * resolution {
-		t1 := t0 + (block-1)*resolution
-		if t1 > horizon {
-			t1 = horizon
-		}
-		buf = Frames(s, buf, t0, t1, resolution)
-		for k := 0; k*n < len(buf); k++ {
-			var total units.Power
-			for _, p := range buf[k*n : (k+1)*n] {
-				total += p
-			}
-			if total > best {
-				best, bestT = total, t0+time.Duration(k)*resolution
-			}
-		}
-	}
-	return bestT
-}
-
 // AggregateRate returns an upper bound, in watts per virtual second, on how
 // fast the generator's aggregate demand can move — clamped or not, since
 // clipping and clamping are 1-Lipschitz. Per rack the bound is the triangle
@@ -493,16 +383,6 @@ func (g *Generator) AggregateRate() float64 {
 // holding a rate-bounded envelope must re-anchor it whenever the regime of
 // the anchor and the query differ.
 func (g *Generator) SwingRegime(t time.Duration) float64 { return g.swingAt(t) }
-
-// FirstPeak scans the generator's first diurnal period for the aggregate
-// maximum.
-func (g *Generator) FirstPeak(resolution time.Duration) time.Duration {
-	horizon := g.spec.DiurnalPeriod
-	if horizon > g.spec.Duration {
-		horizon = g.spec.Duration
-	}
-	return FirstPeak(g, horizon, resolution)
-}
 
 // Stats summarises the aggregate draw over [from, to] at the given step.
 type Stats struct {

@@ -9,6 +9,7 @@ import (
 	"coordcharge/internal/faults"
 	"coordcharge/internal/obs"
 	"coordcharge/internal/scenario"
+	"coordcharge/internal/trace"
 	"coordcharge/internal/units"
 )
 
@@ -129,6 +130,24 @@ func TestKernelParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestKernelParityFrameMemo: the trace frame memo is invisible. One arm run
+// twice in one process — first from an empty memo, then with every frame it
+// needs already memoised — lands on the same digest and summary, and both
+// equal the dense reference.
+func TestKernelParityFrameMemo(t *testing.T) {
+	arm := kernelArms()[0]
+	trace.ResetFrameMemo()
+	cold, coldDigest := runKernel(t, arm.spec(1), scenario.KernelEvent)
+	warm, warmDigest := runKernel(t, arm.spec(1), scenario.KernelEvent)
+	if warmDigest != coldDigest {
+		t.Errorf("flight digest diverged:\n  warm %s\n  cold %s", warmDigest, coldDigest)
+	}
+	if got, want := warm.Summary(), cold.Summary(); got != want {
+		t.Errorf("summary diverged:\n--- warm ---\n%s--- cold ---\n%s", got, want)
+	}
+	checkKernelParity(t, arm, 1)
 }
 
 // TestKernelCrashResume: the chaos harness on the event kernel. A storm run
