@@ -87,6 +87,7 @@ cover:
 
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzFirstPeak -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/config/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/units/
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAdvisorRequest -fuzztime=30s ./internal/svc/
 	$(GO) test -fuzz=FuzzTraceFrame -fuzztime=30s ./internal/svc/
 	$(GO) test -fuzz=FuzzGridSeries -fuzztime=30s ./internal/grid/
+	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/sim/
 
 reproduce:
 	$(GO) run ./cmd/reproduce -out artifacts
