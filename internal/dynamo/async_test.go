@@ -255,3 +255,70 @@ func TestAsyncSurvivesMessageLoss(t *testing.T) {
 		t.Error("drop filter never engaged")
 	}
 }
+
+// asyncOutage runs a 90 s outage at load on a row and restores it at 90 s,
+// leaving the leaf one poll past the restore to plan.
+func asyncOutage(engine *sim.Engine, racks []*rack.Rack, load units.Power) {
+	for _, r := range racks {
+		r.SetDemand(load)
+		r.LoseInput(0)
+	}
+	driveAsync(engine, racks, time.Second, 90*time.Second, time.Second)
+	for _, r := range racks {
+		r.RestoreInput(90 * time.Second)
+	}
+	driveAsync(engine, racks, 91*time.Second, 100*time.Second, time.Second)
+}
+
+// The async twin of TestGlobalModeLowersRateOnOverload, carried through a
+// post-plan drift: the global baseline answers an overload with a uniform
+// re-rate, priority-blind, not with reverse-order throttling.
+func TestAsyncGlobalModeLowersRateOnOverload(t *testing.T) {
+	// Generous at plan time: everyone gets 5 A.
+	engine, _, racks, leaf := asyncRow(t, []rack.Priority{rack.P1, rack.P2, rack.P3}, ModeGlobal, 33*units.Kilowatt+3*5*380, 10*time.Millisecond, 0)
+	asyncOutage(engine, racks, 11*units.Kilowatt)
+	for i, r := range racks {
+		if got := r.Pack().Setpoint(); got != 5 {
+			t.Fatalf("rack %d planned at %v, want uniform 5 A", i, got)
+		}
+	}
+	// Drift: +1 kW per rack leaves room for only ~2.4 A per rack.
+	for _, r := range racks {
+		r.SetDemand(12 * units.Kilowatt)
+	}
+	driveAsync(engine, racks, 101*time.Second, 110*time.Second, time.Second)
+	for i, r := range racks {
+		if got := r.Pack().Setpoint(); got != 2 {
+			t.Errorf("rack %d setpoint after drift = %v, want uniformly lowered to 2 A", i, got)
+		}
+	}
+	if got := leaf.Metrics().MaxCapping; got != 0 {
+		t.Errorf("global mode capped %v, want re-rating to suffice", got)
+	}
+}
+
+// The async twin of TestPostponeModeDefersAndRestarts: a charge that does
+// not fit is paused with its deficit kept rack-local, and restarts once
+// headroom returns.
+func TestAsyncPostponeModeDefersAndRestarts(t *testing.T) {
+	// Room for IT plus one rack's worth of charging only.
+	engine, _, racks, leaf := asyncRow(t, []rack.Priority{rack.P1, rack.P3}, ModePostpone, 22*units.Kilowatt+1900, 10*time.Millisecond, 0)
+	asyncOutage(engine, racks, 11*units.Kilowatt)
+	if !racks[0].Charging() {
+		t.Fatal("P1 rack not charging")
+	}
+	if racks[1].Charging() || racks[1].PendingDOD() <= 0 {
+		t.Fatalf("P3 rack charging=%v pending DOD=%v, want paused with its deficit kept", racks[1].Charging(), racks[1].PendingDOD())
+	}
+	// Still no headroom: the P3 rack stays paused.
+	driveAsync(engine, racks, 101*time.Second, 110*time.Second, time.Second)
+	if racks[1].Charging() {
+		t.Fatal("postponed P3 rack restarted without headroom")
+	}
+	// Free headroom: the postponed P3 restarts.
+	leaf.node.SetLimit(40 * units.Kilowatt)
+	driveAsync(engine, racks, 111*time.Second, 120*time.Second, time.Second)
+	if !racks[1].Charging() {
+		t.Error("postponed P3 rack did not restart when headroom returned")
+	}
+}

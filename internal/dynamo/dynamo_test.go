@@ -165,8 +165,8 @@ func TestThrottleBeforeCapping(t *testing.T) {
 	// both racks charge at the local original-charger 5 A (the overload case
 	// arises when the plan's assumptions are violated; here we drive the
 	// protect path directly).
-	ctl.wasCharging[0] = true
-	ctl.wasCharging[1] = true
+	ctl.was[0] = true
+	ctl.was[1] = true
 	ctl.Tick(91 * time.Second)
 	if got := racks[1].Pack().Setpoint(); got != 1 {
 		t.Errorf("P3 rack setpoint = %v, want throttled to 1 A", got)

@@ -127,28 +127,37 @@ func BuildHierarchyOpts(root *power.Node, mode Mode, cfg core.Config, opts Hiera
 		h.byNode[n] = ctl
 	}
 	if opts.Guard != nil {
-		queue := h.byNode[root].StormQueue()
-		for _, n := range nodes {
-			var racks []*rack.Rack
-			for _, l := range n.RackLoads() {
-				racks = append(racks, l.(*rack.Rack))
-			}
-			g := storm.NewGuard(n, racks, cfg, *opts.Guard)
-			if queue != nil {
-				g.AttachQueue(queue)
-			}
-			if opts.Grid != nil && n == root {
-				// The interconnection cap constrains the site feed: only
-				// the root (MSB) guard sheds against it.
-				g.SetCapacity(opts.Grid.CapAt)
-			}
-			if opts.Obs != nil {
-				g.SetObs(opts.Obs)
-			}
-			h.guards = append(h.guards, g)
-		}
+		h.guards = NewGuards(nodes, root, cfg, *opts.Guard, h.byNode[root].StormQueue(), opts.Grid, opts.Obs)
 	}
 	return h, nil
+}
+
+// NewGuards arms a last-line breaker guard on every node, in the order given:
+// guards tick in that order. Charges a guard pauses hand over to queue when
+// storm admission is armed (nil otherwise). With a grid policy the root
+// guard alone sheds against the interconnection cap, which constrains the
+// site feed. Guards act over rack handles (the server-management plane), so
+// either control plane can own them.
+func NewGuards(nodes []*power.Node, root *power.Node, cfg core.Config, gc storm.GuardConfig, queue *storm.Queue, gridPol *grid.Policy, s *obs.Sink) []*storm.Guard {
+	var guards []*storm.Guard
+	for _, n := range nodes {
+		var racks []*rack.Rack
+		for _, l := range n.RackLoads() {
+			racks = append(racks, l.(*rack.Rack))
+		}
+		g := storm.NewGuard(n, racks, cfg, gc)
+		if queue != nil {
+			g.AttachQueue(queue)
+		}
+		if gridPol != nil && n == root {
+			g.SetCapacity(gridPol.CapAt)
+		}
+		if s != nil {
+			g.SetObs(s)
+		}
+		guards = append(guards, g)
+	}
+	return guards
 }
 
 // Tick runs one monitoring cycle on every controller, bottom-up, then the
@@ -198,20 +207,7 @@ func (h *Hierarchy) TotalGuardMetrics() storm.GuardMetrics {
 func (h *Hierarchy) TotalMetrics() Metrics {
 	var m Metrics
 	for _, c := range h.controllers {
-		cm := c.Metrics()
-		if cm.MaxCapping > m.MaxCapping {
-			m.MaxCapping = cm.MaxCapping
-			m.MaxCappingFraction = cm.MaxCappingFraction
-		}
-		m.CappedEnergy += cm.CappedEnergy
-		m.OverridesIssued += cm.OverridesIssued
-		m.ThrottleEvents += cm.ThrottleEvents
-		m.PlansComputed += cm.PlansComputed
-		m.Retries += cm.Retries
-		m.AbandonedOverrides += cm.AbandonedOverrides
-		m.StaleTelemetry += cm.StaleTelemetry
-		m.Crashes += cm.Crashes
-		m.Restarts += cm.Restarts
+		m.Add(c.Metrics())
 	}
 	return m
 }

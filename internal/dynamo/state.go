@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"coordcharge/internal/core"
-	"coordcharge/internal/rack"
 	"coordcharge/internal/storm"
 	"coordcharge/internal/units"
 )
@@ -90,7 +89,7 @@ func (c *Controller) ExportState() (ControllerState, error) {
 		Metrics:      c.metrics,
 		Down:         c.down,
 		LastTick:     c.lastTick,
-		WasCharging:  append([]bool(nil), c.wasCharging...),
+		WasCharging:  append([]bool(nil), c.was...),
 		Tel:          append([]Snapshot(nil), c.tel...),
 		TelOK:        append([]bool(nil), c.telOK...),
 		TelVer:       append([]uint64(nil), c.telVer...),
@@ -132,7 +131,7 @@ func (c *Controller) RestoreState(st ControllerState) error {
 	c.metrics = st.Metrics
 	c.down = st.Down
 	c.lastTick = st.LastTick
-	copy(c.wasCharging, st.WasCharging)
+	copy(c.was, st.WasCharging)
 	copy(c.tel, st.Tel)
 	copy(c.telOK, st.TelOK)
 	copy(c.telVer, st.TelVer)
@@ -144,23 +143,20 @@ func (c *Controller) RestoreState(st ControllerState) error {
 			c.telOKCount++
 		}
 	}
-	c.postponed = make(map[*rack.Rack]core.RackInfo, len(st.Postponed))
+	clear(c.postponed)
 	for _, ri := range st.Postponed {
 		if ri.ID < 0 || ri.ID >= len(c.agents) {
 			return fmt.Errorf("dynamo: controller state for %s has postponed rack ID %d out of range", st.Node, ri.ID)
 		}
-		c.postponed[c.agents[ri.ID].Rack()] = ri
+		c.postponed[ri.ID] = ri
 	}
-	c.pending = nil
-	if len(st.Pending) > 0 {
-		c.pending = make(map[int]*pendingOverride, len(st.Pending))
-		for _, p := range st.Pending {
-			if p.Idx < 0 || p.Idx >= len(c.agents) {
-				return fmt.Errorf("dynamo: controller state for %s has pending override index %d out of range", st.Node, p.Idx)
-			}
-			c.pending[p.Idx] = &pendingOverride{
-				want: p.Want, attempts: p.Attempts, issuedAt: p.IssuedAt, due: p.Due,
-			}
+	clear(c.pending)
+	for _, p := range st.Pending {
+		if p.Idx < 0 || p.Idx >= len(c.agents) {
+			return fmt.Errorf("dynamo: controller state for %s has pending override index %d out of range", st.Node, p.Idx)
+		}
+		c.pending[p.Idx] = &pendingOverride{
+			want: p.Want, attempts: p.Attempts, issuedAt: p.IssuedAt, due: p.Due,
 		}
 	}
 	if st.Storm != nil {
